@@ -18,6 +18,7 @@
 
 module Sink = Scaf_trace.Sink
 module Metrics = Scaf_trace.Metrics
+module Reservoir = Scaf_trace.Reservoir
 
 type bailout =
   | Definite_free  (** stop at a maximally precise, assertion-free answer *)

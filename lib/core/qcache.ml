@@ -1,6 +1,8 @@
 (** Canonicalizing, sharded, bounded, two-tier response cache (see
     qcache.mli for the protocol-level story). *)
 
+module Reservoir = Scaf_trace.Reservoir
+
 type key = {
   cq : Query.t;  (** canonical form; guaranteed closure-free *)
   mirrored : bool;  (** the original query was the mirrored alias form *)

@@ -61,13 +61,13 @@ let guarded ~(timeout : float) (scenario : string) (body : unit -> string) :
         Mutex.unlock m)
       ()
   in
-  let deadline = Unix.gettimeofday () +. timeout in
+  let deadline = Scaf_trace.Clock.now () +. timeout in
   Mutex.lock m;
   let rec wait () =
     match !result with
     | Some r -> Some r
     | None ->
-        if Unix.gettimeofday () > deadline then None
+        if Scaf_trace.Clock.now () > deadline then None
         else begin
           Mutex.unlock m;
           Thread.delay 0.05;
@@ -407,7 +407,7 @@ let slow_loris_scenario (path : string) : server_outcome =
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with _ -> ())
         (fun () ->
-          let t0 = Unix.gettimeofday () in
+          let t0 = Scaf_trace.Clock.now () in
           (* declare a 1000-byte frame, then dribble one payload byte per
              100ms: the 0.5s frame budget must cut us off *)
           let cut = ref false in
@@ -420,7 +420,7 @@ let slow_loris_scenario (path : string) : server_outcome =
              done
            with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
              cut := true);
-          let elapsed = Unix.gettimeofday () -. t0 in
+          let elapsed = Scaf_trace.Clock.now () -. t0 in
           if not !cut then failwith "server tolerated a 4s dribble";
           if elapsed > 5.0 then
             failwith (Printf.sprintf "cut only after %.1fs" elapsed);

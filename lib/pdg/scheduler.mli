@@ -1,10 +1,10 @@
 (** Work-stealing domain pool with deterministic result reassembly.
 
-    Replaces the old static-chunking convention (each call to
-    [Schemes.parallel_map] respawned [jobs - 1] domains and handed every
-    domain a fixed share via one shared index counter) with a first-class
-    {!pool} value: domains are spawned once, live across calls, and each
-    {!map} distributes the items as per-worker LIFO deques with
+    The {!pool} is a first-class value rather than static chunking
+    (respawning [jobs - 1] domains on every call and handing each domain a
+    fixed share via one shared index counter): domains are spawned once,
+    live across calls, and each {!map} distributes the items as
+    per-worker LIFO deques with
     random-victim stealing, so a worker that drew cheap items takes over
     the tail of a worker that drew expensive ones.
 

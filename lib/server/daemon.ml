@@ -23,7 +23,8 @@
     - a pool of {e worker} threads drains the admission queue, each with
       its private orchestrators over the shared caches. A streaming job
       hands each answer to a {e bounded} per-connection outbox the
-      connection thread drains; a consumer that stops draining first
+      connection thread drains, each side woken by the other's change
+      rather than a timer; a consumer that stops draining first
       degrades the remaining answers (backpressure shed) and is then
       disconnected with a retryable [stream_overrun];
     - a {e reaper} thread shuts down sessions idle past [idle_timeout]
@@ -117,7 +118,7 @@ let default_config ?(socket_path = Filename.concat (Filename.get_temp_dir_name (
 type job = {
   j_bench : Engine.bench;
   j_queries : Protocol.wire_query list;
-  j_deadline : float option;  (** absolute, [Unix.gettimeofday] units *)
+  j_deadline : float option;  (** absolute, {!Scaf_trace.Clock} seconds *)
   j_sink : sink;
 }
 
@@ -135,18 +136,37 @@ and mail = {
     (producer) and its connection thread (consumer). Capacity is the
     backpressure: a full outbox makes the worker wait, a wait past
     [grace/4] sheds the remaining answers to degraded, a wait past
-    [grace] abandons the stream entirely. *)
+    [grace] abandons the stream entirely.
+
+    Each side blocks until the other changes the outbox, not on a timer
+    (but see [wait_readable] for fds past [select]'s range): a push wakes
+    the consumer through [to_consumer], a take (or a close/cancel) wakes
+    the producer through [to_producer]. The wake fds belong to both
+    sides, so they close only when both have released the outbox
+    ([o_holds] reaches 0). *)
 and outbox = {
   om : Mutex.t;
-  oc : Condition.t;
   obuf : (int * Protocol.answer) Queue.t;
   ocap : int;
   ograce : float;
+  to_consumer : wake;  (** readable once an item or the end is queued *)
+  to_producer : wake;  (** readable once there is room, or a stop *)
+  mutable o_holds : int;  (** sides (of 2) that have not released *)
   mutable o_closed : bool;  (** consumer gone; producer must stop *)
   mutable o_cancel : bool;  (** client sent [cancel] *)
   mutable o_done : bool;  (** producer finished (or gave up) *)
   mutable o_err : Protocol.err option;  (** abort reason, if any *)
   mutable o_shed : int;  (** answers degraded by backpressure *)
+}
+
+(** One direction of the handoff: a non-blocking self-pipe, so a waiter
+    can [select] on it next to a socket and with a timeout (OCaml's
+    [Condition] has no timed wait). [pending] (guarded by the outbox
+    mutex) keeps at most one byte in the pipe. *)
+and wake = {
+  rd : Unix.file_descr;
+  wr : Unix.file_descr;
+  mutable pending : bool;
 }
 
 type session = {
@@ -200,7 +220,7 @@ type t = {
   m_journal_truncated : Metrics.counter;
 }
 
-let now () = Unix.gettimeofday ()
+let now = Clock.now
 
 let with_sessions (t : t) (f : unit -> 'a) : 'a =
   Mutex.lock t.sm;
@@ -210,13 +230,64 @@ let with_sessions (t : t) (f : unit -> 'a) : 'a =
 (* Outbox                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let wake_create () : wake =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock rd;
+  Unix.set_nonblock wr;
+  { rd; wr; pending = false }
+
+let wake_close (w : wake) : unit =
+  (try Unix.close w.rd with Unix.Unix_error _ -> ());
+  try Unix.close w.wr with Unix.Unix_error _ -> ()
+
+(* Under the outbox mutex: make [w.rd] readable. *)
+let wake_signal (w : wake) : unit =
+  if not w.pending then begin
+    w.pending <- true;
+    ignore (Unix.single_write_substring w.wr "!" 0 1)
+  end
+
+(* Under the outbox mutex, just before the caller checks the state it is
+   about to wait on: consume the pending byte, so [w.rd] turns readable
+   again only on a change made after that check. *)
+let wake_clear (w : wake) : unit =
+  if w.pending then begin
+    w.pending <- false;
+    ignore (Unix.read w.rd (Bytes.create 1) 0 1)
+  end
+
+(* Wait until one of [fds] is readable or [timeout] seconds pass
+   (negative: no timeout). An empty result may be spurious (EINTR), so
+   callers recheck their state. [select] refuses any fd at or above
+   FD_SETSIZE (1024) with EINVAL; a daemon holding that many fds sleeps
+   one short slice instead, which turns its handoff back into a poll (and
+   leaves a client's mid-stream [cancel] unread) but keeps the stream
+   served. *)
+let wait_readable (fds : Unix.file_descr list) (timeout : float) :
+    Unix.file_descr list =
+  match Unix.select fds [] [] timeout with
+  | ready, _, _ -> ready
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
+      Thread.delay (if timeout < 0.0 then 0.005 else Float.min timeout 0.005);
+      []
+
 let outbox_create ~(cap : int) ~(grace : float) : outbox =
+  let to_consumer = wake_create () in
+  let to_producer =
+    try wake_create ()
+    with e ->
+      wake_close to_consumer;
+      raise e
+  in
   {
     om = Mutex.create ();
-    oc = Condition.create ();
     obuf = Queue.create ();
     ocap = max 1 cap;
     ograce = grace;
+    to_consumer;
+    to_producer;
+    o_holds = 2;
     o_closed = false;
     o_cancel = false;
     o_done = false;
@@ -228,44 +299,62 @@ let with_outbox (ob : outbox) (f : unit -> 'a) : 'a =
   Mutex.lock ob.om;
   Fun.protect ~finally:(fun () -> Mutex.unlock ob.om) f
 
-(* Producer side: push one answer, waiting while the outbox is full.
-   OCaml's [Condition] has no timed wait, so the wait is emulated in
-   50 ms slices — the grace clock keeps running even if the consumer
-   never signals again. *)
+(* One side is finished with the outbox: it will neither signal nor wait
+   again. The last release closes the wake fds. Closing them any earlier
+   would let the kernel reuse the numbers for another connection's
+   socket, and the other side's late wake byte would land in the middle
+   of that connection's frames. *)
+let outbox_release (ob : outbox) : unit =
+  with_outbox ob (fun () ->
+      ob.o_holds <- ob.o_holds - 1;
+      if ob.o_holds = 0 then begin
+        wake_close ob.to_consumer;
+        wake_close ob.to_producer
+      end)
+
+(* Producer side: push one answer, waiting while the outbox is full until
+   the consumer takes something, stops the stream, or the grace runs
+   out. *)
 let outbox_push (ob : outbox) (item : int * Protocol.answer) :
     [ `Ok of float | `Overrun | `Stopped ] =
   let t0 = now () in
-  let rec wait () =
+  let rec attempt () =
     match
       with_outbox ob (fun () ->
           if ob.o_closed || ob.o_cancel then `Stopped
           else if Queue.length ob.obuf < ob.ocap then begin
             Queue.add item ob.obuf;
-            Condition.broadcast ob.oc;
+            wake_signal ob.to_consumer;
             `Ok (now () -. t0)
           end
           else if now () -. t0 > ob.ograce then `Overrun
-          else `Full)
+          else begin
+            wake_clear ob.to_producer;
+            `Full
+          end)
     with
     | `Full ->
-        Thread.delay 0.05;
-        wait ()
+        ignore
+          (wait_readable [ ob.to_producer.rd ]
+             (Float.max 0.0 (t0 +. ob.ograce -. now ())));
+        attempt ()
     | (`Ok _ | `Overrun | `Stopped) as r -> r
   in
-  wait ()
+  attempt ()
 
-(* Consumer side: take the next item, waiting at most [max_wait] so the
-   connection thread keeps its own heartbeat/cancel-poll cadence. *)
+(* Consumer side: take the next item, waiting at most [max_wait] for the
+   producer. [`Timeout] leaves [to_consumer] clear, so it turns readable
+   again only on a push, finish or error made after this take. *)
 let outbox_take (ob : outbox) ~(max_wait : float) :
     [ `Item of int * Protocol.answer | `Err of Protocol.err | `Done | `Timeout ]
     =
   let t0 = now () in
-  let rec wait () =
+  let rec attempt () =
     match
       with_outbox ob (fun () ->
           if not (Queue.is_empty ob.obuf) then begin
             let it = Queue.pop ob.obuf in
-            Condition.broadcast ob.oc;
+            wake_signal ob.to_producer;
             `Item it
           end
           else
@@ -273,31 +362,35 @@ let outbox_take (ob : outbox) ~(max_wait : float) :
             | Some e -> `Err e
             | None ->
                 if ob.o_done then `Done
-                else if now () -. t0 >= max_wait then `Timeout
-                else `Empty)
+                else begin
+                  wake_clear ob.to_consumer;
+                  if now () -. t0 >= max_wait then `Timeout else `Empty
+                end)
     with
     | `Empty ->
-        Thread.delay 0.02;
-        wait ()
+        ignore
+          (wait_readable [ ob.to_consumer.rd ]
+             (Float.max 0.0 (t0 +. max_wait -. now ())));
+        attempt ()
     | (`Item _ | `Err _ | `Done | `Timeout) as r -> r
   in
-  wait ()
+  attempt ()
 
 let outbox_finish ?err (ob : outbox) : unit =
   with_outbox ob (fun () ->
       (match err with Some e when ob.o_err = None -> ob.o_err <- Some e | _ -> ());
       ob.o_done <- true;
-      Condition.broadcast ob.oc)
+      wake_signal ob.to_consumer)
 
 let outbox_close (ob : outbox) : unit =
   with_outbox ob (fun () ->
       ob.o_closed <- true;
-      Condition.broadcast ob.oc)
+      wake_signal ob.to_producer)
 
 let outbox_cancel (ob : outbox) : unit =
   with_outbox ob (fun () ->
       ob.o_cancel <- true;
-      Condition.broadcast ob.oc)
+      wake_signal ob.to_producer)
 
 (* ------------------------------------------------------------------ *)
 (* Worker pool                                                         *)
@@ -359,6 +452,7 @@ let run_batch_job (t : t) (w : Engine.worker) (job : job) (mail : mail)
    grace abandons the stream with a retryable [stream_overrun]. *)
 let run_stream_job (t : t) (w : Engine.worker) (job : job) (ob : outbox)
     (degrade : Admission.degrade) : unit =
+  Fun.protect ~finally:(fun () -> outbox_release ob) @@ fun () ->
   let shed = ref false in
   match
     List.iteri
@@ -635,99 +729,112 @@ let handle_request (t : t) (req : Protocol.request) : Json.t =
 (* ------------------------------------------------------------------ *)
 
 (* Drain a streaming job's outbox onto the wire. Runs on the connection
-   thread. Returns [`Keep] when the connection can keep serving requests
-   and [`Drop] when the stream died in a way that loses framing (slow
-   consumer, vanished peer). While pumping, the socket is polled for a
-   client [cancel] frame; any other pipelined request mid-stream is
-   ignored by protocol contract. *)
+   thread, which sleeps in one [select] over the client socket and the
+   outbox's wake fd until the producer queues something, the client
+   speaks, or the next heartbeat is due. Each wakeup sends every queued
+   answer with one write. Returns [`Keep] when the connection can keep
+   serving requests and [`Drop] when the stream died in a way that loses
+   framing (slow consumer, vanished peer). A client [cancel] frame stops
+   the producer; any other pipelined request mid-stream is ignored by
+   protocol contract. *)
 let pump_stream (t : t) (s : session) (ob : outbox) : [ `Keep | `Drop ] =
   let items = ref 0 in
   let last_write = ref (now ()) in
-  let dead = ref false in
-  let write j =
-    match Wire.write_frame ~write_budget:t.cfg.write_budget s.fd j with
+  let write frames =
+    match Wire.write_frames ~write_budget:t.cfg.write_budget s.fd frames with
     | Ok () ->
         last_write := now ();
         true
     | Error _ -> false
   in
-  let poll_cancel () =
-    match Unix.select [ s.fd ] [] [] 0.0 with
-    | [], _, _ -> ()
-    | _ -> (
-        match
-          Wire.read_frame ~max_len:t.cfg.max_frame
-            ~frame_budget:t.cfg.frame_budget s.fd
-        with
-        | Ok j -> (
-            match Protocol.request_of_json j with
-            | Protocol.Cancel -> outbox_cancel ob
-            | _ -> ()
-            | exception _ -> ())
-        | Error Wire.Idle -> ()
-        | Error _ ->
-            (* EOF or broken framing mid-stream: the consumer is gone *)
-            dead := true)
-    | exception _ -> ()
+  let sent n =
+    items := !items + n;
+    Metrics.add t.m_stream_items n
+  in
+  let abort () =
+    Metrics.incr t.m_streams_aborted;
+    `Drop
+  in
+  (* the socket is readable: false when the consumer is gone (EOF or
+     broken framing mid-stream) *)
+  let read_client () =
+    match
+      Wire.read_frame ~max_len:t.cfg.max_frame ~frame_budget:t.cfg.frame_budget
+        s.fd
+    with
+    | Ok j ->
+        (match Protocol.request_of_json j with
+        | Protocol.Cancel -> outbox_cancel ob
+        | _ -> ()
+        | exception _ -> ());
+        true
+    | Error Wire.Idle -> true
+    | Error _ -> false
+  in
+  (* every answer queued right now, and the stream's state behind them;
+     [`Open] leaves the wake fd clear for [wait] *)
+  let rec collect acc =
+    match outbox_take ob ~max_wait:0.0 with
+    | `Item it -> collect (it :: acc)
+    | (`Done | `Err _) as fate -> (List.rev acc, fate)
+    | `Timeout -> (List.rev acc, `Open)
   in
   (* note: [t.stopping] is deliberately not checked here — an admitted
      streaming job drains through the worker pool on shutdown, and this
      pump keeps running so its answers are not silently dropped *)
   let rec pump () =
-    poll_cancel ();
-    if !dead then begin
-      outbox_close ob;
-      Metrics.incr t.m_streams_aborted;
-      `Drop
-    end
-    else
-      match outbox_take ob ~max_wait:0.2 with
-      | `Item (i, a) ->
-          if write (Protocol.stream_item_to_json i a) then begin
-            incr items;
-            Metrics.incr t.m_stream_items;
-            pump ()
-          end
-          else begin
-            outbox_close ob;
-            Metrics.incr t.m_streams_aborted;
-            `Drop
-          end
-      | `Err e ->
-          (* stream aborted server-side (overrun / worker crash): report
-             and hang up — mid-stream framing cannot be resumed *)
-          Metrics.incr t.m_streams_aborted;
-          ignore (write (Protocol.err_to_json e));
-          `Drop
-      | `Done ->
-          let cancelled = with_outbox ob (fun () -> ob.o_cancel) in
-          if cancelled then Metrics.incr t.m_streams_cancelled;
-          let summary =
-            {
-              Protocol.st_count = !items;
-              st_shed = with_outbox ob (fun () -> ob.o_shed);
-              st_cancelled = cancelled;
-            }
-          in
-          if write (Protocol.stream_end_to_json summary) then `Keep
-          else `Drop
-      | `Timeout ->
-          (* the next answer is still cooking: heartbeat so the client
-             (and any NAT in between) knows the stream is alive *)
-          if
-            t.cfg.heartbeat_interval > 0.0
-            && now () -. !last_write > t.cfg.heartbeat_interval
-          then
-            if write Protocol.stream_heartbeat_json then begin
-              Metrics.incr t.m_heartbeats;
-              pump ()
-            end
-            else begin
-              outbox_close ob;
-              Metrics.incr t.m_streams_aborted;
-              `Drop
-            end
-          else pump ()
+    let batch, fate = collect [] in
+    let n = List.length batch in
+    let frames =
+      List.map (fun (i, a) -> Protocol.stream_item_to_json i a) batch
+    in
+    match fate with
+    | `Err e ->
+        (* stream aborted server-side (overrun / worker crash): report
+           and hang up — mid-stream framing cannot be resumed *)
+        Metrics.incr t.m_streams_aborted;
+        if write (frames @ [ Protocol.err_to_json e ]) then sent n;
+        `Drop
+    | `Done ->
+        let cancelled, shed =
+          with_outbox ob (fun () -> (ob.o_cancel, ob.o_shed))
+        in
+        if cancelled then Metrics.incr t.m_streams_cancelled;
+        let summary =
+          {
+            Protocol.st_count = !items + n;
+            st_shed = shed;
+            st_cancelled = cancelled;
+          }
+        in
+        if write (frames @ [ Protocol.stream_end_to_json summary ]) then begin
+          sent n;
+          `Keep
+        end
+        else `Drop
+    | `Open ->
+        if frames <> [] && not (write frames) then abort ()
+        else begin
+          sent n;
+          wait ()
+        end
+  and wait () =
+    let hb = t.cfg.heartbeat_interval in
+    let timeout =
+      if hb > 0.0 then Float.max 0.0 (!last_write +. hb -. now ()) else -1.0
+    in
+    match wait_readable [ s.fd; ob.to_consumer.rd ] timeout with
+    | ready when List.mem s.fd ready ->
+        if read_client () then pump () else abort ()
+    | [] when hb > 0.0 && now () -. !last_write >= hb ->
+        (* the next answer is still cooking: heartbeat so the client (and
+           any NAT in between) knows the stream is alive *)
+        if write [ Protocol.stream_heartbeat_json ] then begin
+          Metrics.incr t.m_heartbeats;
+          pump ()
+        end
+        else abort ()
+    | _ -> pump ()
   in
   Metrics.incr t.m_streams_opened;
   pump ()
@@ -744,28 +851,48 @@ let handle_stream (t : t) (s : session) ~(bench : string)
     | Ok () -> `Keep
     | Error _ -> `Drop
   in
+  let rejected e =
+    Metrics.incr t.m_rejected;
+    reply_err e
+  in
+  (* a rejected job's outbox never reaches a worker: drop both holds *)
+  let abandon ob =
+    outbox_release ob;
+    outbox_release ob
+  in
   match Engine.find_bench t.engine bench with
   | None -> reply_err (Protocol.unknown_bench bench)
   | Some b -> (
-      let ob = outbox_create ~cap:t.cfg.outbox_cap ~grace:t.cfg.stream_grace in
-      let job =
-        {
-          j_bench = b;
-          j_queries = qs;
-          j_deadline = deadline_of t deadline_ms;
-          j_sink = Stream ob;
-        }
-      in
-      match Admission.submit t.queue job with
-      | Admission.Admitted _ ->
-          Metrics.add t.m_queue_depth 1;
-          pump_stream t s ob
-      | Admission.Overloaded retry_after_ms ->
-          Metrics.incr t.m_rejected;
-          reply_err (Protocol.overloaded ~retry_after_ms)
-      | Admission.Closed ->
-          Metrics.incr t.m_rejected;
-          reply_err Protocol.shutting_down)
+      match outbox_create ~cap:t.cfg.outbox_cap ~grace:t.cfg.stream_grace with
+      | exception Unix.Unix_error _ ->
+          (* out of fds for the wake pipes: transient, like a full queue *)
+          rejected
+            (Protocol.overloaded
+               ~retry_after_ms:t.cfg.admission.Admission.retry_after_ms)
+      | ob -> (
+          let job =
+            {
+              j_bench = b;
+              j_queries = qs;
+              j_deadline = deadline_of t deadline_ms;
+              j_sink = Stream ob;
+            }
+          in
+          match Admission.submit t.queue job with
+          | Admission.Admitted _ ->
+              Metrics.add t.m_queue_depth 1;
+              (* whatever ends the pump, the producer must stop too *)
+              Fun.protect
+                ~finally:(fun () ->
+                  outbox_close ob;
+                  outbox_release ob)
+                (fun () -> pump_stream t s ob)
+          | Admission.Overloaded retry_after_ms ->
+              abandon ob;
+              rejected (Protocol.overloaded ~retry_after_ms)
+          | Admission.Closed ->
+              abandon ob;
+              rejected Protocol.shutting_down))
 
 (* ------------------------------------------------------------------ *)
 (* Connection threads                                                  *)

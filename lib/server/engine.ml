@@ -76,7 +76,7 @@ let bench_profiles (b : bench) : Profiles.t = Program.profiles b.program
 let bench_loops (b : bench) : (string * float) list =
   Scaf_pdg.Nodep.hot_loop_weights (bench_profiles b)
 
-let clock () = Unix.gettimeofday ()
+let clock = Scaf_trace.Clock.now
 
 let load_bench (p : Program.t) : bench =
   let program = Program.fork p in
@@ -84,7 +84,7 @@ let load_bench (p : Program.t) : bench =
   {
     program;
     (* the daemon is the one deployment where shard-lock waits matter, so
-       its caches get the wall clock and `ask stats` shows wait latency *)
+       its caches get a clock and `ask stats` shows wait latency *)
     cache = Qcache.create ~wait_clock:clock ();
     cheap_cache = Qcache.create ~wait_clock:clock ();
     graph =

@@ -7,13 +7,14 @@
 
     Robustness contract:
 
-    - {e no partial writes}: {!write_frame} assembles the whole frame and
-      loops until every byte is on the wire (EINTR retried), so a crash
-      between two [write]s can never leave a half-frame for the peer;
+    - {e no partial writes}: {!write_frame} and {!write_frames} assemble
+      every frame first and loop until every byte is on the wire (EINTR
+      retried), so a crash between two [write]s can never leave a
+      half-frame for the peer;
     - {e no unbounded buffering}: a frame longer than [max_len] is
       rejected as {!Oversized} after reading only the 4-byte prefix;
     - {e slow-loris bound}: [read_frame ~frame_budget] gives the sender a
-      wall-clock budget from the frame's first byte to its last — a client
+      time budget from the frame's first byte to its last — a client
       dribbling one byte per poll interval is cut off as {!Truncated}
       instead of wedging the connection's reader forever;
     - {e idle vs. dead}: a receive timeout {e before} the first byte of a
@@ -37,7 +38,7 @@ let error_to_string = function
 (** Default maximum payload length: 4 MiB. *)
 let default_max_len = 4 * 1024 * 1024
 
-let now () = Unix.gettimeofday ()
+let now = Scaf_trace.Clock.now
 
 (* Read exactly [n] bytes into [buf]; [deadline] (absolute, from the frame
    budget) bounds the whole fill once a frame has started. *)
@@ -103,27 +104,50 @@ let rec write_all ?(deadline : float option) (fd : Unix.file_descr)
       ->
         Error Closed
 
+(** [write_frames fd js] — frame every value and send the frames back to
+    back from one buffer: one [write] for a batch that fits the socket
+    buffer, with exactly the bytes of {!write_frame} on each value in
+    turn. The whole batch is assembled first, then written to completion
+    or [Error Closed]. [write_budget] (seconds per frame) bounds the
+    whole write when the fd carries a send timeout ([SO_SNDTIMEO]): a
+    batch of [n] frames gets [n] budgets, so a consumer that takes each
+    frame within one budget is served however many frames are batched.
+    It is the per-connection write deadline that keeps a slow consumer
+    from parking the daemon's writer forever. *)
+let write_frames ?(write_budget : float option) (fd : Unix.file_descr)
+    (js : Json.t list) : (unit, error) result =
+  let payloads = List.map Json.to_string js in
+  let total =
+    List.fold_left (fun acc p -> acc + 4 + String.length p) 0 payloads
+  in
+  let buf = Bytes.create total in
+  ignore
+    (List.fold_left
+       (fun off p ->
+         let n = String.length p in
+         Bytes.set buf off (Char.chr ((n lsr 24) land 0xff));
+         Bytes.set buf (off + 1) (Char.chr ((n lsr 16) land 0xff));
+         Bytes.set buf (off + 2) (Char.chr ((n lsr 8) land 0xff));
+         Bytes.set buf (off + 3) (Char.chr (n land 0xff));
+         Bytes.blit_string p 0 buf (off + 4) n;
+         off + 4 + n)
+       0 payloads
+      : int);
+  let deadline =
+    Option.map
+      (fun b -> now () +. (b *. float_of_int (List.length payloads)))
+      write_budget
+  in
+  write_all ?deadline fd buf 0 total
+
 (** [write_frame fd json] — frame and send one JSON value atomically from
-    the caller's point of view: the whole frame is assembled first, then
-    written to completion or [Error Closed]. [write_budget] (seconds)
-    bounds the wall-clock of the whole write when the fd carries a send
-    timeout ([SO_SNDTIMEO]) — the per-connection write deadline that keeps
-    a slow consumer from parking the daemon's writer forever. *)
-let write_frame ?(write_budget : float option) (fd : Unix.file_descr)
-    (j : Json.t) : (unit, error) result =
-  let payload = Json.to_string j in
-  let n = String.length payload in
-  let frame = Bytes.create (4 + n) in
-  Bytes.set frame 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set frame 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set frame 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set frame 3 (Char.chr (n land 0xff));
-  Bytes.blit_string payload 0 frame 4 n;
-  let deadline = Option.map (fun b -> now () +. b) write_budget in
-  write_all ?deadline fd frame 0 (4 + n)
+    the caller's point of view ({!write_frames} of one value). *)
+let write_frame ?write_budget (fd : Unix.file_descr) (j : Json.t) :
+    (unit, error) result =
+  write_frames ?write_budget fd [ j ]
 
 (** [read_frame fd] — read one frame. [max_len] bounds the declared
-    payload; [frame_budget] (seconds) bounds the wall-clock from a frame's
+    payload; [frame_budget] (seconds) bounds the time from a frame's
     first byte to its last. Set a receive timeout ([SO_RCVTIMEO]) on [fd]
     to get [Idle] ticks while no frame has started. *)
 let read_frame ?(max_len = default_max_len) ?frame_budget

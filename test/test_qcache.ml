@@ -8,6 +8,7 @@
 open Scaf
 open Scaf_ir
 open Scaf_pdg
+module Reservoir = Scaf_trace.Reservoir
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int

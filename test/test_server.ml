@@ -124,6 +124,41 @@ let test_wire_closed () =
       | Error e ->
           Alcotest.failf "expected Closed, got %s" (Wire.error_to_string e))
 
+(* [write_budget] is per frame: a consumer that takes each frame well
+   within one budget is served however many frames one write batches.
+   Four 256 KiB frames drained one per 0.25 s take ~0.75 s to write,
+   past one 0.5 s budget but inside four. *)
+let test_wire_write_budget_per_frame () =
+  with_socketpair (fun a b ->
+      Unix.setsockopt_float a Unix.SO_SNDTIMEO 0.02;
+      let n = 4 in
+      let frame = Json.String (String.make (256 * 1024) 'x') in
+      let read_errors = ref [] in
+      let reader =
+        Thread.create
+          (fun () ->
+            for k = 1 to n do
+              (match Wire.read_frame b with
+              | Ok _ -> ()
+              | Error e ->
+                  read_errors := Wire.error_to_string e :: !read_errors);
+              if k < n then Thread.delay 0.25
+            done)
+          ()
+      in
+      let written =
+        Wire.write_frames ~write_budget:0.5 a (List.init n (fun _ -> frame))
+      in
+      (* a cut-off write leaves the reader mid-frame: end its wait *)
+      Unix.shutdown a Unix.SHUTDOWN_SEND;
+      Thread.join reader;
+      (match written with
+      | Ok () -> ()
+      | Error e ->
+          Alcotest.failf "a steady drain was cut off: %s"
+            (Wire.error_to_string e));
+      checkb "every frame read whole" true (!read_errors = []))
+
 (* -- Protocol ------------------------------------------------------- *)
 
 let wq = { Protocol.wloop = "main_loop"; wsrc = 3; wdst = 7; wcross = true }
@@ -411,7 +446,7 @@ let test_engine_deadline_expired () =
   let b = Engine.find_bench eng bench_name |> Option.get in
   let w = Engine.worker eng in
   let q = { (first_query eng) with Protocol.wcross = false } in
-  let expired = Unix.gettimeofday () -. 1.0 in
+  let expired = Scaf_trace.Clock.now () -. 1.0 in
   let a = Engine.answer w ~degrade:Admission.Full ~deadline:(Some expired) b q in
   checkb "tagged deadline" true (a.Protocol.a_degraded = Some "deadline")
 
@@ -667,6 +702,54 @@ let test_outbox_cancel_stops_producer () =
       checkb "overrun is retryable" true e.Protocol.retryable
   | _ -> Alcotest.fail "aborted outbox must surface the error"
 
+(* The handoff wakes each side when the other acts, with no polling
+   timer: 64 answers through a cap-8 outbox take a few milliseconds. A
+   producer that sleeps 50 ms per full outbox needs hundreds. (A poll on
+   the connection thread's side is caught by "streamed answers are not
+   timer-bound".) *)
+let test_outbox_handoff_not_timer_bound () =
+  let ob = Daemon.outbox_create ~cap:8 ~grace:2.0 in
+  let n = 64 in
+  let pushed = ref 0 and taken = ref [] in
+  let t0 = Scaf_trace.Clock.now () in
+  let producer =
+    Thread.create
+      (fun () ->
+        (try
+           for i = 0 to n - 1 do
+             match Daemon.outbox_push ob (i, stub_answer) with
+             | `Ok _ -> incr pushed
+             | `Overrun | `Stopped -> raise Exit
+           done
+         with Exit -> ());
+        Daemon.outbox_finish ob)
+      ()
+  in
+  let consumer =
+    Thread.create
+      (fun () ->
+        let rec drain () =
+          match Daemon.outbox_take ob ~max_wait:1.0 with
+          | `Item (i, _) ->
+              taken := i :: !taken;
+              drain ()
+          | `Done | `Err _ | `Timeout -> ()
+        in
+        drain ())
+      ()
+  in
+  Thread.join producer;
+  Thread.join consumer;
+  let elapsed = Scaf_trace.Clock.now () -. t0 in
+  Daemon.outbox_release ob;
+  Daemon.outbox_release ob;
+  checki "every push accepted" n !pushed;
+  checkb "every answer taken, in order" true
+    (List.rev !taken = List.init n Fun.id);
+  if elapsed >= 0.2 then
+    Alcotest.failf "64 answers took %.0f ms: the handoff waits on a timer"
+      (elapsed *. 1e3)
+
 (* -- Daemon: TCP transport, streaming, version gate, durability ----- *)
 
 let daemon_cfg ?tcp ?state_dir ?(benchmarks = []) sock =
@@ -739,6 +822,262 @@ let test_daemon_stream_identical () =
             (Json.int_member "streams_opened" transport >= 1);
           checkb "stats counts stream items" true
             (Json.int_member "stream_items" transport >= List.length qs)))
+
+(* The connection thread wakes when its worker queues an answer, not on
+   a timer: a stream of 256 cached answers takes a few milliseconds. A
+   pump that sleeps once per outbox refill (cap 8) needs 32 sleeps, so
+   even a 10 ms poll on either side fails the 0.2 s bound. The best of
+   three streams is timed, to ride out a noisy host. *)
+let test_daemon_stream_not_timer_bound () =
+  let sock = scratch_sock () in
+  let b = Scaf_suite.Registry.find bench_name |> Option.get in
+  let d = Daemon.start (daemon_cfg ~benchmarks:[ b ] sock) in
+  Fun.protect
+    ~finally:(fun () -> Daemon.stop d)
+    (fun () ->
+      let c, _ = Client.connect ~name:"stream-latency-test" sock in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let workload =
+            List.concat_map
+              (fun (loop, _, wqs) ->
+                List.map (fun q -> { q with Protocol.wloop = loop }) wqs)
+              (Client.queries c ~bench:bench_name)
+          in
+          let n = 256 in
+          let qs =
+            List.init n (fun i ->
+                List.nth workload (i mod List.length workload))
+          in
+          (* warm: every streamed answer below is a cache hit *)
+          ignore (Client.ask_many c ~bench:bench_name qs);
+          let best = ref infinity in
+          for _ = 1 to 3 do
+            let t0 = Scaf_trace.Clock.now () in
+            let _, summary = Client.ask_stream c ~bench:bench_name qs in
+            best := Float.min !best (Scaf_trace.Clock.now () -. t0);
+            checki "summary counts every answer" n summary.Protocol.st_count
+          done;
+          if !best >= 0.2 then
+            Alcotest.failf
+              "a stream of %d cached answers took %.0f ms: the handoff \
+               waits on a timer"
+              n (!best *. 1e3)))
+
+(* A stream holds two wake pipes besides its connection's socket. 200
+   streams that end each way a stream can end must leave the fd table as
+   they found it: completed, cancelled mid-stream, abandoned by a
+   consumer that vanishes after the first item, and rejected at
+   admission. *)
+let test_daemon_streams_release_fds () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let b = Scaf_suite.Registry.find bench_name |> Option.get in
+  (* the rejecting daemon has one worker and a one-slot queue, and its
+     modules park on a gate: one parked job plus one queued job fill its
+     admission *)
+  let gm = Mutex.create () in
+  let gate_shut = ref false and parked = ref false in
+  let set_gate shut =
+    Mutex.lock gm;
+    gate_shut := shut;
+    Mutex.unlock gm
+  in
+  let gated ms =
+    List.map
+      (fun (m : Scaf.Module_api.t) ->
+        {
+          m with
+          Scaf.Module_api.answer =
+            (fun ctx q ->
+              let rec park () =
+                Mutex.lock gm;
+                let shut = !gate_shut in
+                if shut then parked := true;
+                Mutex.unlock gm;
+                if shut then begin
+                  Thread.delay 0.001;
+                  park ()
+                end
+              in
+              park ();
+              m.Scaf.Module_api.answer ctx q);
+        })
+      ms
+  in
+  let sock = scratch_sock () and rsock = scratch_sock () in
+  let d = Daemon.start (daemon_cfg ~benchmarks:[ b ] sock) in
+  let r =
+    Daemon.start
+      {
+        (daemon_cfg ~benchmarks:[ b ] rsock) with
+        Daemon.workers = 1;
+        wrap = gated;
+        admission = { Admission.default_config with Admission.capacity = 1 };
+      }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      set_gate false;
+      Daemon.stop d;
+      Daemon.stop r)
+    (fun () ->
+      let with_client ep f =
+        let c, _ = Client.connect ~retry:Client.no_retry ep in
+        Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
+      in
+      let with_raw ep f =
+        let fd = Addr.connect (Addr.of_string ep) in
+        Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
+      in
+      let request qs =
+        Protocol.request_to_json
+          (Protocol.Ask_many
+             { bench = bench_name; qs; deadline_ms = None; stream = true })
+      in
+      (* before the first connection: a daemon closes a session's socket
+         some time after its client hangs up *)
+      let baseline = open_fds () in
+      let qs =
+        with_client sock (fun c ->
+            List.concat_map
+              (fun (loop, _, wqs) ->
+                List.map (fun q -> { q with Protocol.wloop = loop }) wqs)
+              (Client.queries c ~bench:bench_name))
+      in
+      let long = List.concat (List.init 8 (fun _ -> qs)) in
+      let cancelled = ref 0 in
+      for _ = 1 to 50 do
+        with_client sock (fun c ->
+            let _, summary = Client.ask_stream c ~bench:bench_name qs in
+            checki "completed stream counts every answer" (List.length qs)
+              summary.Protocol.st_count);
+        with_client sock (fun c ->
+            let _, summary =
+              Client.ask_stream ~on_item:(fun _ _ -> `Cancel) c
+                ~bench:bench_name long
+            in
+            if summary.Protocol.st_cancelled then incr cancelled);
+        with_raw sock (fun fd ->
+            ignore (Wire.write_frame fd (request long));
+            let rec to_first_item () =
+              match Wire.read_frame fd with
+              | Ok j when Protocol.is_heartbeat j -> to_first_item ()
+              | Ok _ -> ()
+              | Error e -> Alcotest.failf "stream: %s" (Wire.error_to_string e)
+            in
+            to_first_item ())
+      done;
+      checkb "some cancels landed mid-stream" true (!cancelled > 0);
+      (* poll [cond] for up to 10 s; its final value *)
+      let settle cond =
+        let deadline = Scaf_trace.Clock.now () +. 10.0 in
+        while (not (cond ())) && Scaf_trace.Clock.now () < deadline do
+          Thread.delay 0.001
+        done;
+        cond ()
+      in
+      let until what cond =
+        if not (settle cond) then Alcotest.failf "timed out waiting for %s" what
+      in
+      (* park the rejecting daemon's worker, then queue one job behind it *)
+      set_gate true;
+      let ask_one () =
+        with_client rsock (fun c ->
+            ignore (Client.ask c ~bench:bench_name (List.hd qs)))
+      in
+      let parked_job = Thread.create ask_one () in
+      until "the worker to park" (fun () ->
+          Mutex.lock gm;
+          let p = !parked in
+          Mutex.unlock gm;
+          p);
+      let queued_job = Thread.create ask_one () in
+      until "a queued job" (fun () -> Admission.depth r.Daemon.queue = 1);
+      for _ = 1 to 50 do
+        with_raw rsock (fun fd ->
+            ignore (Wire.write_frame fd (request qs));
+            match Wire.read_frame fd with
+            | Ok j -> (
+                match Protocol.open_envelope j with
+                | Error e ->
+                    checks "rejected at admission" "overloaded" e.Protocol.code
+                | Ok _ -> Alcotest.fail "a full queue admitted a stream")
+            | Error e -> Alcotest.failf "reply: %s" (Wire.error_to_string e))
+      done;
+      set_gate false;
+      Thread.join parked_job;
+      Thread.join queued_job;
+      (* connection threads close their sockets, and workers release
+         their outboxes, asynchronously *)
+      ignore (settle (fun () -> open_fds () <= baseline));
+      checki "fd table back where it started" baseline (open_fds ()))
+
+(* [select] cannot watch an fd at or above FD_SETSIZE (1024). With every
+   lower fd number taken, a stream's socket and wake pipes all land above
+   it: the stream must still be served byte-identically to batch, and
+   its connection must keep serving. Skips where the fd limit is too
+   low to get there. *)
+let test_daemon_stream_above_fd_setsize () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let fd_setsize = 1024 in
+  let sock = scratch_sock () in
+  let b = Scaf_suite.Registry.find bench_name |> Option.get in
+  let d = Daemon.start (daemon_cfg ~benchmarks:[ b ] sock) in
+  let filler = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Unix.close !filler;
+      Daemon.stop d)
+    (fun () ->
+      let low_taken () =
+        Array.fold_left
+          (fun n e ->
+            match int_of_string_opt e with
+            | Some k when k < fd_setsize -> n + 1
+            | _ -> n)
+          0
+          (Sys.readdir "/proc/self/fd")
+      in
+      let take k =
+        for _ = 1 to k do
+          filler :=
+            Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+            :: !filler
+        done
+      in
+      (* the listing's own directory fd may hold the last low number:
+         one extra fd plugs it *)
+      (try
+         let rec fill () =
+           let missing = fd_setsize - low_taken () in
+           if missing > 0 then begin
+             take missing;
+             fill ()
+           end
+         in
+         fill ();
+         take 1
+       with Unix.Unix_error (Unix.EMFILE, _, _) -> Alcotest.skip ());
+      let c, _ = Client.connect ~name:"high-fd-test" sock in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let qs =
+            List.concat_map
+              (fun (loop, _, wqs) ->
+                List.map (fun q -> { q with Protocol.wloop = loop }) wqs)
+              (Client.queries c ~bench:bench_name)
+          in
+          let batch = Client.ask_many c ~bench:bench_name qs in
+          let streamed, summary = Client.ask_stream c ~bench:bench_name qs in
+          checki "summary counts every answer" (List.length qs)
+            summary.Protocol.st_count;
+          checks "streamed = batched, byte for byte"
+            (String.concat "\n" (List.map Protocol.render_answer batch))
+            (String.concat "\n" (List.map Protocol.render_answer streamed));
+          Client.ping c))
 
 let test_daemon_version_gate () =
   let sock = scratch_sock () in
@@ -883,6 +1222,8 @@ let suite =
           test_wire_oversized;
         Alcotest.test_case "bad json payload" `Quick test_wire_bad_json;
         Alcotest.test_case "closed peer" `Quick test_wire_closed;
+        Alcotest.test_case "write budget is per frame" `Quick
+          test_wire_write_budget_per_frame;
       ] );
     ( "server-protocol",
       [
@@ -910,6 +1251,8 @@ let suite =
           test_outbox_backpressure;
         Alcotest.test_case "cancel stops the producer" `Quick
           test_outbox_cancel_stops_producer;
+        Alcotest.test_case "handoff is event-driven, not timer-bound" `Quick
+          test_outbox_handoff_not_timer_bound;
       ] );
     ( "server-admission",
       [
@@ -943,6 +1286,12 @@ let suite =
           test_daemon_stream_identical;
         Alcotest.test_case "version gate rejects skewed clients" `Quick
           test_daemon_version_gate;
+        Alcotest.test_case "streamed answers are not timer-bound" `Quick
+          test_daemon_stream_not_timer_bound;
+        Alcotest.test_case "200 streams leak no fds" `Quick
+          test_daemon_streams_release_fds;
+        Alcotest.test_case "streams above FD_SETSIZE are served" `Quick
+          test_daemon_stream_above_fd_setsize;
         Alcotest.test_case "journal recovers submissions on restart" `Slow
           test_daemon_journal_recovery;
         Alcotest.test_case "chaos matrix all green" `Slow
