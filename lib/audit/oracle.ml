@@ -83,8 +83,8 @@ let tracker_hooks (tracker : Tracker.t) : Hooks.t =
   {
     Hooks.nop with
     Hooks.on_edge =
-      (fun ~src_term:_ ~src ~dst ~func ->
-        Tracker.edge tracker ~func:func.Scaf_ir.Func.name ~src ~dst);
+      (fun ~src_term:_ ~src:_ ~dst ~func ->
+        Tracker.edge tracker ~func:func.Scaf_ir.Func.name ~dst);
     on_call_enter =
       (fun f ~ctx:_ -> Tracker.call_enter tracker f.Scaf_ir.Func.name);
     on_call_exit = (fun _ -> Tracker.call_exit tracker);

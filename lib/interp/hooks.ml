@@ -17,15 +17,16 @@ type t = {
     addr:int64 ->
     size:int ->
     value:int64 ->
-    obj:Memory.obj option ->
+    obj:Memory.obj ->
     ctx:int list ->
     unit;
+      (** [obj] is the object the access resolved to *)
   on_store :
     instr:Instr.t ->
     addr:int64 ->
     size:int ->
     value:int64 ->
-    obj:Memory.obj option ->
+    obj:Memory.obj ->
     ctx:int list ->
     unit;
   on_alloc : obj:Memory.obj -> unit;

@@ -152,27 +152,28 @@ let alloc (t : t) ~(size : int) ~(kind : obj_kind) ~(ctx : int list) : obj =
   if t.journaling then t.journal <- JAlloc o :: t.journal;
   o
 
-(** [find_addr t a] resolves address [a] to [(object, offset)]. Traps on
-    wild or dangling pointers. *)
-let find_addr (t : t) (a : int64) : obj * int =
+(** [resolve t a] is the object holding address [a]. Traps on wild or
+    dangling pointers. *)
+let resolve (t : t) (a : int64) : obj =
   match Addr_map.find_last_opt (fun b -> Int64.compare b a <= 0) t.by_base with
   | None -> trap "wild pointer 0x%Lx" a
   | Some (_, o) ->
       let off = Int64.to_int (Int64.sub a o.base) in
       if off >= o.size then trap "pointer 0x%Lx past object %d" a o.oid
       else if not o.live then trap "use of freed object %d" o.oid
-      else (o, off)
+      else o
 
-let find_addr_opt (t : t) (a : int64) : (obj * int) option =
+(** [resolve_opt t a] is [Some o] when [a] lies inside the live object [o]. *)
+let resolve_opt (t : t) (a : int64) : obj option =
   match Addr_map.find_last_opt (fun b -> Int64.compare b a <= 0) t.by_base with
   | Some (_, o) ->
       let off = Int64.to_int (Int64.sub a o.base) in
-      if off < o.size && o.live then Some (o, off) else None
+      if off < o.size && o.live then Some o else None
   | None -> None
 
 let free (t : t) (a : int64) : obj =
-  let o, off = find_addr t a in
-  if off <> 0 then trap "free of interior pointer 0x%Lx" a;
+  let o = resolve t a in
+  if not (Int64.equal a o.base) then trap "free of interior pointer 0x%Lx" a;
   (match o.kind with
   | KHeap _ -> ()
   | _ -> trap "free of non-heap object %d" o.oid);
@@ -180,10 +181,11 @@ let free (t : t) (a : int64) : obj =
   o.live <- false;
   o
 
-(** [load t a size] reads [size] bytes little-endian as a sign-agnostic
-    integer (zero-extended). *)
-let load (t : t) (a : int64) (size : int) : int64 =
-  let o, off = find_addr t a in
+(** [read o a size] reads [size] bytes at address [a] of [o] (the object
+    {!resolve} returned for [a]) little-endian as a sign-agnostic integer
+    (zero-extended). *)
+let read (o : obj) (a : int64) (size : int) : int64 =
+  let off = Int64.to_int (Int64.sub a o.base) in
   if off + size > o.size then
     trap "load of %d bytes at 0x%Lx overruns object %d" size a o.oid;
   let v = ref 0L in
@@ -193,8 +195,10 @@ let load (t : t) (a : int64) (size : int) : int64 =
   done;
   !v
 
-let store (t : t) (a : int64) (size : int) (value : int64) : unit =
-  let o, off = find_addr t a in
+(** [write t o a size v] stores [v] at address [a] of [o] (the object
+    {!resolve} returned for [a]). *)
+let write (t : t) (o : obj) (a : int64) (size : int) (value : int64) : unit =
+  let off = Int64.to_int (Int64.sub a o.base) in
   if off + size > o.size then
     trap "store of %d bytes at 0x%Lx overruns object %d" size a o.oid;
   journal_data t o;
@@ -204,6 +208,11 @@ let store (t : t) (a : int64) (size : int) (value : int64) : unit =
       (Char.chr (Int64.to_int (Int64.logand !v 0xFFL)));
     v := Int64.shift_right_logical !v 8
   done
+
+let load (t : t) (a : int64) (size : int) : int64 = read (resolve t a) a size
+
+let store (t : t) (a : int64) (size : int) (value : int64) : unit =
+  write t (resolve t a) a size value
 
 let memcpy (t : t) ~(dst : int64) ~(src : int64) ~(len : int) : unit =
   for k = 0 to len - 1 do

@@ -18,11 +18,6 @@ type t = {
       (** heap sites observed allocating inside the loop *)
   violated : (string * Site.t, unit) Hashtbl.t;
       (** short-lived candidates that leaked past an iteration *)
-  (* transient state: per active invocation (lid, inv), the objects
-     allocated in the current iteration and still live *)
-  pending : (string * int, (int, Site.t) Hashtbl.t) Hashtbl.t;
-  live_oids : (int, Site.t * (string * int) list) Hashtbl.t;
-      (** live heap object -> (site, invocations it is pending in) *)
 }
 
 let create () : t =
@@ -30,9 +25,19 @@ let create () : t =
     rw = Hashtbl.create 128;
     alloc_sites = Hashtbl.create 64;
     violated = Hashtbl.create 64;
-    pending = Hashtbl.create 16;
-    live_oids = Hashtbl.create 64;
   }
+
+(* Per-run collection state: per active invocation (lid, inv), the objects
+   allocated in its current iteration and still live. *)
+type run = {
+  t : t;
+  pending : (string * int, (int, Site.t) Hashtbl.t) Hashtbl.t;
+  live_oids : (int, Site.t * (string * int) list) Hashtbl.t;
+      (** live heap object -> (site, invocations it is pending in) *)
+}
+
+let start_run (t : t) : run =
+  { t; pending = Hashtbl.create 16; live_oids = Hashtbl.create 64 }
 
 let rw_entry (t : t) key =
   match Hashtbl.find_opt t.rw key with
@@ -42,58 +47,63 @@ let rw_entry (t : t) key =
       Hashtbl.replace t.rw key e;
       e
 
-let record_access (t : t) ~(site : Site.t) ~(write : bool)
-    ~(snap : (string * int * int) list) =
-  List.iter
-    (fun (lid, _, _) ->
-      let e = rw_entry t (lid, site) in
-      if write then e.writes <- e.writes + 1 else e.reads <- e.reads + 1)
-    snap
+(** The counters an access to [site] bumps under the loop stack [actives],
+    one per active loop, in stack order. *)
+let rw_entries (t : t) ~(site : Site.t) (actives : Tracker.active list) :
+    rw list =
+  List.map (fun (a : Tracker.active) -> rw_entry t (a.Tracker.lid, site)) actives
 
-let record_alloc (t : t) ~(oid : int) ~(site : Site.t)
+let record_access (entries : rw list) ~(write : bool) =
+  List.iter
+    (fun e -> if write then e.writes <- e.writes + 1 else e.reads <- e.reads + 1)
+    entries
+
+let record_alloc (r : run) ~(oid : int) ~(site : Site.t)
     ~(snap : (string * int * int) list) =
   match site.Site.skind with
   | Site.SHeap _ ->
       let invs =
         List.map
           (fun (lid, inv, _) ->
-            Hashtbl.replace t.alloc_sites (lid, site) ();
+            Hashtbl.replace r.t.alloc_sites (lid, site) ();
             let key = (lid, inv) in
             let tbl =
-              match Hashtbl.find_opt t.pending key with
+              match Hashtbl.find_opt r.pending key with
               | Some tbl -> tbl
               | None ->
                   let tbl = Hashtbl.create 8 in
-                  Hashtbl.replace t.pending key tbl;
+                  Hashtbl.replace r.pending key tbl;
                   tbl
             in
             Hashtbl.replace tbl oid site;
             key)
           snap
       in
-      Hashtbl.replace t.live_oids oid (site, invs)
+      Hashtbl.replace r.live_oids oid (site, invs)
   | _ -> ()
 
-let record_free (t : t) ~(oid : int) =
-  match Hashtbl.find_opt t.live_oids oid with
+let record_free (r : run) ~(oid : int) =
+  match Hashtbl.find_opt r.live_oids oid with
   | Some (_, invs) ->
       List.iter
         (fun key ->
-          match Hashtbl.find_opt t.pending key with
+          match Hashtbl.find_opt r.pending key with
           | Some tbl -> Hashtbl.remove tbl oid
           | None -> ())
         invs;
-      Hashtbl.remove t.live_oids oid
+      Hashtbl.remove r.live_oids oid
   | None -> ()
 
 (* At an iteration boundary (next iteration or loop exit), any object still
    pending leaked out of its allocation iteration: its site is not
    short-lived for that loop. *)
-let iteration_boundary (t : t) ~(lid : string) ~(invocation : int) =
+let iteration_boundary (r : run) ~(lid : string) ~(invocation : int) =
   let key = (lid, invocation) in
-  match Hashtbl.find_opt t.pending key with
+  match Hashtbl.find_opt r.pending key with
   | Some tbl ->
-      Hashtbl.iter (fun _oid site -> Hashtbl.replace t.violated (lid, site) ()) tbl;
+      Hashtbl.iter
+        (fun _oid site -> Hashtbl.replace r.t.violated (lid, site) ())
+        tbl;
       Hashtbl.reset tbl
   | None -> ()
 

@@ -10,13 +10,20 @@ type t = (int, entry) Hashtbl.t
 
 let create () : t = Hashtbl.create 128
 
-let record (t : t) ~(access : int) ~(addr : int64) =
-  let r = Int64.to_int (Int64.logand addr 15L) in
+(** [entry t access] is [access]'s entry, created with no executions when
+    [access] first runs. *)
+let entry (t : t) (access : int) : entry =
   match Hashtbl.find_opt t access with
-  | None -> Hashtbl.replace t access { residues = 1 lsl r; count = 1 }
-  | Some e ->
-      e.residues <- e.residues lor (1 lsl r);
-      e.count <- e.count + 1
+  | Some e -> e
+  | None ->
+      let e = { residues = 0; count = 0 } in
+      Hashtbl.replace t access e;
+      e
+
+(** Record one execution of the access at address [addr]. *)
+let record (e : entry) ~(addr : int64) =
+  e.residues <- e.residues lor (1 lsl Int64.to_int (Int64.logand addr 15L));
+  e.count <- e.count + 1
 
 (** [residue_set t access] is the observed 16-bit residue set, or [None] if
     the access never executed during profiling. *)

@@ -22,19 +22,46 @@ let create () : t =
 let bump tbl key n =
   Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
-let record_instr (t : t) (actives : Tracker.active list) =
-  t.total <- t.total + 1;
-  (* A loop can appear once per frame; attribute once per distinct lid. *)
-  let rec go seen = function
-    | [] -> ()
-    | (a : Tracker.active) :: tl ->
-        if List.mem a.Tracker.lid seen then go seen tl
-        else begin
-          bump t.per_loop a.Tracker.lid 1;
-          go (a.Tracker.lid :: seen) tl
-        end
-  in
-  go [] actives
+(* Executed instructions are counted in batches, one per stretch of
+   execution under an unchanged loop stack ({!Tracker.actives} is
+   physically the same list until a loop is entered or left). A batch is
+   attributed when the stack changes and when the run ends. *)
+type run = {
+  time : t;
+  mutable batch : Tracker.active list;  (** the loop stack of the batch *)
+  mutable pending : int;  (** instructions counted in the batch *)
+}
+
+let start_run (time : t) : run = { time; batch = []; pending = 0 }
+
+let flush (r : run) =
+  let t = r.time and n = r.pending in
+  if n > 0 then begin
+    t.total <- t.total + n;
+    (* A loop can appear once per frame; attribute once per distinct lid. *)
+    let rec go seen = function
+      | [] -> ()
+      | (a : Tracker.active) :: tl ->
+          if List.mem a.Tracker.lid seen then go seen tl
+          else begin
+            bump t.per_loop a.Tracker.lid n;
+            go (a.Tracker.lid :: seen) tl
+          end
+    in
+    go [] r.batch;
+    r.pending <- 0
+  end
+
+(** Count one executed instruction under the loop stack [actives]. *)
+let record_instr (r : run) (actives : Tracker.active list) =
+  if actives != r.batch then begin
+    flush r;
+    r.batch <- actives
+  end;
+  r.pending <- r.pending + 1
+
+(** Attribute the last batch; call once the run has ended. *)
+let finish_run (r : run) = flush r
 
 let record_iteration (t : t) ~(lid : string) = bump t.iterations lid 1
 let record_invocation (t : t) ~(lid : string) = bump t.invocations lid 1

@@ -5,7 +5,12 @@
     their current iteration numbers. All loop-aware profilers (lifetime,
     memory-dependence, time) are driven by this tracker's listeners and
     snapshots. Instructions executed in callees are attributed to the
-    caller's active loops. *)
+    caller's active loops.
+
+    Both views of the stack are cached: {!actives} is rebuilt only when a
+    loop is entered or left, so its physical identity names the loop
+    stack; {!snapshot} is rebuilt only when, in addition, an iteration
+    starts. *)
 
 open Scaf_cfg
 
@@ -16,13 +21,19 @@ type active = {
   loop : Loops.loop;
 }
 
-type frame = { fname : string; mutable lstack : active list  (** innermost first *) }
+type frame = {
+  fname : string;
+  floops : Loops.t option;  (** the function's loops, resolved at the call *)
+  mutable lstack : active list;  (** innermost first *)
+}
 
 type t = {
   loops_of : string -> Loops.t option;
   mutable frames : frame list;  (** innermost first *)
   inv_counter : (string, int) Hashtbl.t;
   mutable cached_actives : active list;  (** all frames, innermost first *)
+  mutable cached_snap : (string * int * int) list option;
+      (** {!snapshot} of [cached_actives]; [None] once it is stale *)
   mutable on_enter : (active -> unit) list;
   mutable on_iter : (active -> unit) list;  (** fires at every iteration start, including the first *)
   mutable on_exit : (active -> unit) list;
@@ -34,6 +45,7 @@ let create ~(loops_of : string -> Loops.t option) : t =
     frames = [];
     inv_counter = Hashtbl.create 32;
     cached_actives = [];
+    cached_snap = None;
     on_enter = [];
     on_iter = [];
     on_exit = [];
@@ -44,19 +56,28 @@ let add_iter_listener t f = t.on_iter <- t.on_iter @ [ f ]
 let add_exit_listener t f = t.on_exit <- t.on_exit @ [ f ]
 
 let refresh_cache (t : t) =
-  t.cached_actives <- List.concat_map (fun fr -> fr.lstack) t.frames
+  t.cached_actives <- List.concat_map (fun fr -> fr.lstack) t.frames;
+  t.cached_snap <- None
 
-(** Active loop invocations, innermost first (across call frames). *)
+(** Active loop invocations, innermost first (across call frames). The
+    list is physically unchanged until a loop is entered or left. *)
 let actives (t : t) : active list = t.cached_actives
 
 (** Immutable snapshot [(lid, invocation, iteration)] for dependence
     attribution. *)
 let snapshot (t : t) : (string * int * int) list =
-  List.map (fun a -> (a.lid, a.invocation, a.iteration)) t.cached_actives
+  match t.cached_snap with
+  | Some s -> s
+  | None ->
+      let s =
+        List.map (fun a -> (a.lid, a.invocation, a.iteration)) t.cached_actives
+      in
+      t.cached_snap <- Some s;
+      s
 
+(* A new frame has no active loops, so the cached views stay valid. *)
 let call_enter (t : t) (fname : string) =
-  t.frames <- { fname; lstack = [] } :: t.frames;
-  refresh_cache t
+  t.frames <- { fname; floops = t.loops_of fname; lstack = [] } :: t.frames
 
 let pop_loop (t : t) (fr : frame) =
   match fr.lstack with
@@ -66,14 +87,15 @@ let pop_loop (t : t) (fr : frame) =
   | [] -> ()
 
 let call_exit (t : t) =
-  (match t.frames with
+  match t.frames with
   | fr :: rest ->
+      let had_loops = fr.lstack <> [] in
       while fr.lstack <> [] do
         pop_loop t fr
       done;
-      t.frames <- rest
-  | [] -> ());
-  refresh_cache t
+      t.frames <- rest;
+      if had_loops then refresh_cache t
+  | [] -> ()
 
 (** Unwind everything (end of run or abnormal exit). *)
 let finish (t : t) =
@@ -81,50 +103,49 @@ let finish (t : t) =
     call_exit t
   done
 
-let edge (t : t) ~(func : string) ~(src : string) ~(dst : string) =
+let edge (t : t) ~(func : string) ~(dst : string) =
   match t.frames with
-  | [] -> ()
-  | fr :: _ -> (
-      if not (String.equal fr.fname func) then ()
-      else
-        match t.loops_of func with
-        | None -> ()
-        | Some li ->
-            let cfg = li.Loops.cfg in
-            let src_i = Cfg.index_of cfg src in
-            let dst_i = Cfg.index_of cfg dst in
-            ignore src_i;
-            (* leave loops that do not contain the destination *)
-            let rec pops () =
-              match fr.lstack with
-              | a :: _ when not (Loops.contains a.loop dst_i) ->
-                  pop_loop t fr;
-                  pops ()
-              | _ -> ()
-            in
-            pops ();
-            (* header? *)
-            (match
-               List.find_opt (fun (l : Loops.loop) -> l.Loops.header = dst_i) li.Loops.loops
-             with
-            | Some l -> (
-                match fr.lstack with
-                | a :: _ when String.equal a.lid l.Loops.lid ->
-                    (* back edge: next iteration *)
-                    a.iteration <- a.iteration + 1;
-                    List.iter (fun f -> f a) t.on_iter
-                | _ ->
-                    let inv =
-                      1
-                      + Option.value ~default:0
-                          (Hashtbl.find_opt t.inv_counter l.Loops.lid)
-                    in
-                    Hashtbl.replace t.inv_counter l.Loops.lid inv;
-                    let a =
-                      { lid = l.Loops.lid; invocation = inv; iteration = 1; loop = l }
-                    in
-                    fr.lstack <- a :: fr.lstack;
-                    List.iter (fun f -> f a) t.on_enter;
-                    List.iter (fun f -> f a) t.on_iter)
-            | None -> ());
-            refresh_cache t)
+  | ({ floops = Some li; _ } as fr) :: _ when String.equal fr.fname func ->
+      let dst_i = Cfg.index_of li.Loops.cfg dst in
+      (* leave loops that do not contain the destination *)
+      let rec pops left =
+        match fr.lstack with
+        | a :: _ when not (Loops.contains a.loop dst_i) ->
+            pop_loop t fr;
+            pops true
+        | _ -> left
+      in
+      let left = pops false in
+      (* header? *)
+      let entered =
+        match
+          List.find_opt
+            (fun (l : Loops.loop) -> l.Loops.header = dst_i)
+            li.Loops.loops
+        with
+        | Some l -> (
+            match fr.lstack with
+            | a :: _ when String.equal a.lid l.Loops.lid ->
+                (* back edge: next iteration *)
+                a.iteration <- a.iteration + 1;
+                t.cached_snap <- None;
+                List.iter (fun f -> f a) t.on_iter;
+                false
+            | _ ->
+                let inv =
+                  1
+                  + Option.value ~default:0
+                      (Hashtbl.find_opt t.inv_counter l.Loops.lid)
+                in
+                Hashtbl.replace t.inv_counter l.Loops.lid inv;
+                let a =
+                  { lid = l.Loops.lid; invocation = inv; iteration = 1; loop = l }
+                in
+                fr.lstack <- a :: fr.lstack;
+                List.iter (fun f -> f a) t.on_enter;
+                List.iter (fun f -> f a) t.on_iter;
+                true)
+        | None -> false
+      in
+      if left || entered then refresh_cache t
+  | _ -> ()

@@ -13,12 +13,20 @@ type t = (int, entry) Hashtbl.t
 
 let create () : t = Hashtbl.create 128
 
-let record (t : t) ~(load : int) ~(value : int64) =
+(** [entry t ~load ~value] is [load]'s entry, created with no executions
+    when [load] first runs (returning [value]). *)
+let entry (t : t) ~(load : int) ~(value : int64) : entry =
   match Hashtbl.find_opt t load with
-  | None -> Hashtbl.replace t load { first = value; stable = true; count = 1 }
-  | Some e ->
-      e.count <- e.count + 1;
-      if not (Int64.equal e.first value) then e.stable <- false
+  | Some e -> e
+  | None ->
+      let e = { first = value; stable = true; count = 0 } in
+      Hashtbl.replace t load e;
+      e
+
+(** Record one execution of the load that returned [value]. *)
+let record (e : entry) ~(value : int64) =
+  e.count <- e.count + 1;
+  if not (Int64.equal e.first value) then e.stable <- false
 
 (** [predictable t load] is [Some (value, exec_count)] when every profiled
     execution of [load] produced [value]. *)
