@@ -565,9 +565,9 @@ let trace_gate () =
   noop ();
   sampled ();
   let time f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Scaf_trace.Clock.now () in
     f ();
-    Unix.gettimeofday () -. t0
+    Scaf_trace.Clock.now () -. t0
   in
   let t_noop = ref [] and t_sampled = ref [] in
   for _ = 1 to 21 do
@@ -615,9 +615,9 @@ let scale_gate () =
   ignore (Scaf_report.Experiments.evaluate_all ~benchmarks ());
   let median3 f =
     let time () =
-      let t0 = Unix.gettimeofday () in
+      let t0 = Scaf_trace.Clock.now () in
       f ();
-      Unix.gettimeofday () -. t0
+      Scaf_trace.Clock.now () -. t0
     in
     let xs = List.sort Float.compare [ time (); time (); time () ] in
     List.nth xs 1

@@ -20,7 +20,8 @@
 open Cmdliner
 open Scaf_report
 
-let clock () = Unix.gettimeofday ()
+(* fig10 latencies and --trace timestamps: the monotonic clock [lib/] uses *)
+let clock = Scaf_trace.Clock.now
 
 let select_benchmarks (names : string list) : Scaf_suite.Program.t list =
   match names with

@@ -13,11 +13,14 @@
     count; access facts (values, residues, points-to) through the function
     owning the instruction; loop-scoped facts (lifetime read/write sets,
     allocation sites, violations, memory dependences) through the loop's
-    function. Transient collection state (lifetime [pending]/[live_oids],
-    memdep shadow memory) and the time profile are excluded: the former is
-    dead weight after profiling finishes, and wall-clock timings differ
-    between runs of identical programs — fingerprinting them would turn
-    every edit into a global invalidation. *)
+    function. The time profile is excluded: its instruction counts are
+    whole-program (callee work is charged to the caller's loops, and the
+    total counts everything), so nearly any edit changes them —
+    fingerprinting them would turn every edit into a global invalidation.
+
+    A fingerprint costs up to about a millisecond per program, so an edit
+    takes the pre-edit one from a {!memo} (filled by the previous edit, or
+    at load) and computes only the post-edit one. *)
 
 open Scaf_profile
 
@@ -98,7 +101,7 @@ let of_profiles (p : Profiles.t) : t =
               (String.concat "," (List.map string_of_int cc)))
            id e))
     p.Profiles.points_to.Points_to_profile.by_instr_ctx;
-  (* lifetime profile (transient pending/live_oids excluded) *)
+  (* lifetime profile *)
   Hashtbl.iter
     (fun (lid, site) (rw : Lifetime_profile.rw) ->
       add acc (func_of_lid lid)
@@ -114,7 +117,7 @@ let of_profiles (p : Profiles.t) : t =
       add acc (func_of_lid lid)
         (Printf.sprintf "violated %s %s" lid (pp_site site)))
     p.Profiles.lifetime.Lifetime_profile.violated;
-  (* memory-dependence profile (shadow memory excluded) *)
+  (* memory-dependence profile *)
   Hashtbl.iter
     (fun lid tbl ->
       Hashtbl.iter
@@ -126,6 +129,23 @@ let of_profiles (p : Profiles.t) : t =
   (* canonicalize *)
   Hashtbl.filter_map_inplace (fun _ facts -> Some (List.sort compare facts)) acc;
   acc
+
+(** The last fingerprint taken through it, with the profiles it was taken
+    of. Profiles are memoized per program epoch, so while a handle stays at
+    one epoch {!current} hands back the same fingerprint. *)
+type memo = { mutable last : (Profiles.t * t) option }
+
+let memo () : memo = { last = None }
+
+(** [current m p] is [of_profiles p], computed only if [p] is not the
+    profile bundle [m] last fingerprinted. *)
+let current (m : memo) (p : Profiles.t) : t =
+  match m.last with
+  | Some (p', fp) when p' == p -> fp
+  | _ ->
+      let fp = of_profiles p in
+      m.last <- Some (p, fp);
+      fp
 
 (** Functions whose fact set differs between the two fingerprints
     (including functions present in only one). *)

@@ -201,6 +201,12 @@ let stream_exchange (c : t) ~(bench : string)
   | Ok () ->
       let items = ref [] in
       let cancel_sent = ref false in
+      let rec drop_reply () =
+        match Wire.read_frame fd with
+        | Ok j when Protocol.is_heartbeat j -> drop_reply ()
+        | Ok _ -> ()
+        | Error _ -> disconnect c
+      in
       let rec read () =
         match Wire.read_frame fd with
         | Error e -> fail (Wire.error_to_string e)
@@ -228,6 +234,12 @@ let stream_exchange (c : t) ~(bench : string)
                     | _ -> ());
                     read ()
                 | Protocol.Send s ->
+                    (* a cancel that reached the daemon after it finished
+                       the stream was not consumed by it: the daemon
+                       answers it as a request of its own, and that reply
+                       must not be read as the next request's *)
+                    if !cancel_sent && not s.Protocol.st_cancelled then
+                      drop_reply ();
                     let answers =
                       List.sort
                         (fun (i, _) (k, _) -> Int.compare i k)

@@ -33,7 +33,9 @@ type bench = {
   cache : Qcache.t;  (** shared by every worker's full-ensemble orchestrator *)
   cheap_cache : Qcache.t;  (** ditto for the cheap (analysis-only) ensemble *)
   graph : Collector.graph;  (** read-set provenance of [cache]'s entries *)
-  bm : Mutex.t;  (** guards edits and the lazy row *)
+  fingerprint : Fingerprint.memo;
+      (** of the current epoch's profiles; taken at load, then by each edit *)
+  bm : Mutex.t;  (** guards edits, [fingerprint] and the lazy row *)
   mutable row : Scaf_report.Experiments.fig8_row option;
       (** the benchmark's Figure 8 row, evaluated on first demand and
           dropped by {!apply_edit} (it describes the previous epoch) *)
@@ -80,7 +82,9 @@ let clock = Scaf_trace.Clock.now
 
 let load_bench (p : Program.t) : bench =
   let program = Program.fork p in
-  ignore (Program.profiles program : Profiles.t) (* profile at load time *);
+  (* profile and fingerprint at load time *)
+  let fingerprint = Fingerprint.memo () in
+  ignore (Fingerprint.current fingerprint (Program.profiles program));
   {
     program;
     (* the daemon is the one deployment where shard-lock waits matter, so
@@ -90,6 +94,7 @@ let load_bench (p : Program.t) : bench =
     graph =
       Collector.create_graph
         ~funcs_of:(Collector.funcs_of_ctx (Program.ctx program));
+    fingerprint;
     bm = Mutex.create ();
     row = None;
   }
@@ -360,11 +365,14 @@ let apply_edit (t : t) (b : bench) (wedits : Protocol.wire_edit list) :
             ]
       | ops -> (
           let old_m = Program.program b.program in
-          let old_fp = Fingerprint.of_profiles (bench_profiles b) in
+          let fingerprint () =
+            Fingerprint.current b.fingerprint (bench_profiles b)
+          in
+          let old_fp = fingerprint () in
           match Edit.apply_all b.program ops with
           | Error e -> Error e
           | Ok diff ->
-              let new_fp = Fingerprint.of_profiles (bench_profiles b) in
+              let new_fp = fingerprint () in
               let profile_dirty =
                 Fingerprint.changed ~before:old_fp ~after:new_fp
               in

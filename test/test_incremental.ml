@@ -200,6 +200,26 @@ let test_invalidation_stats_sane () =
       checkb "evicted bounded by dirty" true
         (st.Invalidate.evicted <= st.Invalidate.dirty)
 
+(* Each edit fingerprints the profiles it creates and nothing else: the
+   pre-edit fingerprint is the one the previous edit left in the memo. *)
+let test_one_fingerprint_per_edit () =
+  let s = Session.create (Option.get (Registry.find "181.mcf")) in
+  let memo = s.Session.fingerprint in
+  let holds_current () =
+    match memo.Fingerprint.last with
+    | Some (p, _) -> p == Program.profiles s.Session.program
+    | None -> false
+  in
+  let fp = Fingerprint.current memo (Program.profiles s.Session.program) in
+  checkb "same epoch, same fingerprint" true
+    (Fingerprint.current memo (Program.profiles s.Session.program) == fp);
+  for _ = 1 to 2 do
+    (match Session.edit s [ Session.auto_edit s ] with
+    | Error e -> Alcotest.fail (Scaf_lint.Diagnostic.to_summary e)
+    | Ok _ -> ());
+    checkb "the edit left its new epoch's fingerprint" true (holds_current ())
+  done
+
 let suite =
   [
     ( "incremental",
@@ -209,6 +229,8 @@ let suite =
           test_warm_cache_counters;
         Alcotest.test_case "invalidation stats sane" `Quick
           test_invalidation_stats_sane;
+        Alcotest.test_case "an edit fingerprints only its new epoch" `Quick
+          test_one_fingerprint_per_edit;
         QCheck_alcotest.to_alcotest ~long:false prop_incremental_equals_batch;
         QCheck_alcotest.to_alcotest ~long:false prop_no_foreign_recompute;
       ] );
